@@ -48,6 +48,8 @@ type Translator interface {
 	Profile() Profile
 	// Deliver hands a message to one of the translator's input ports.
 	// For proxies this triggers the corresponding native-device action.
+	// msg.Payload may alias a transport buffer that is reused once
+	// Deliver returns: finish with it first, or Clone msg to keep it.
 	Deliver(ctx context.Context, port string, msg Message) error
 	// Bind installs the sink that receives output-port emissions. Bind
 	// is called once by the runtime before the translator is announced.

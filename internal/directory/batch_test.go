@@ -9,19 +9,14 @@ import (
 	"repro/internal/netemu"
 )
 
-// batchRecorder implements both Listener and BatchListener, recording
-// every id either way plus how many calls it took.
+// batchRecorder is a Listener recording every id plus how many calls
+// it took.
 type batchRecorder struct {
 	mu            sync.Mutex
 	mapped        []core.TranslatorID
 	unmapped      []core.TranslatorID
 	mappedCalls   int
 	unmappedCalls int
-}
-
-func (r *batchRecorder) TranslatorMapped(p core.Profile) { r.TranslatorsMapped([]core.Profile{p}) }
-func (r *batchRecorder) TranslatorUnmapped(id core.TranslatorID) {
-	r.TranslatorsUnmapped([]core.TranslatorID{id})
 }
 
 func (r *batchRecorder) TranslatorsMapped(ps []core.Profile) {
@@ -49,9 +44,9 @@ func (r *batchRecorder) snapshot() (mapped, unmapped []core.TranslatorID, mCalls
 }
 
 // TestBatchListenerCoalescesAdvert: an advert carrying many profiles
-// reaches a BatchListener in far fewer calls than profiles — and a node
-// death unmaps all of them in one call. A plain Listener registered
-// alongside still sees every per-translator event.
+// reaches a Listener in far fewer calls than profiles — and a node
+// death unmaps all of them in one call. Per-translator ListenerFuncs
+// registered alongside still see every translator event.
 func TestBatchListenerCoalescesAdvert(t *testing.T) {
 	net := netemu.NewNetwork(netemu.Unlimited())
 	defer net.Close()
@@ -63,9 +58,18 @@ func TestBatchListenerCoalescesAdvert(t *testing.T) {
 	d2.Start()
 
 	batched := &batchRecorder{}
-	plain := &recorder{}
+	var plainMu sync.Mutex
+	var plainMapped, plainUnmapped int
 	d2.AddListener(batched)
-	d2.AddListener(plain)
+	d2.AddListener(ListenerFuncs{
+		Mapped:   func(core.Profile) { plainMu.Lock(); plainMapped++; plainMu.Unlock() },
+		Unmapped: func(core.TranslatorID) { plainMu.Lock(); plainUnmapped++; plainMu.Unlock() },
+	})
+	plain := func() (int, int) {
+		plainMu.Lock()
+		defer plainMu.Unlock()
+		return plainMapped, plainUnmapped
+	}
 
 	const n = 40
 	for i := 0; i < n; i++ {
@@ -84,8 +88,8 @@ func TestBatchListenerCoalescesAdvert(t *testing.T) {
 	if mCalls >= n {
 		t.Fatalf("batching never engaged: %d calls for %d mapped translators", mCalls, n)
 	}
-	if pm, _ := plain.counts(); pm != n {
-		t.Fatalf("plain listener saw %d mapped, want %d", pm, n)
+	if pm, _ := plain(); pm != n {
+		t.Fatalf("per-translator listener saw %d mapped, want %d", pm, n)
 	}
 
 	// Node death: all n entries drop in one batched unmap.
@@ -101,7 +105,7 @@ func TestBatchListenerCoalescesAdvert(t *testing.T) {
 	if uCalls != 1 {
 		t.Fatalf("node death took %d unmap calls, want 1 batched call", uCalls)
 	}
-	if _, pu := plain.counts(); pu != n {
-		t.Fatalf("plain listener saw %d unmapped, want %d", pu, n)
+	if _, pu := plain(); pu != n {
+		t.Fatalf("per-translator listener saw %d unmapped, want %d", pu, n)
 	}
 }

@@ -46,9 +46,6 @@ const (
 	// DefaultAnnounceInterval is the heartbeat cadence (and, for pre-delta
 	// peers, how often full state was re-announced).
 	DefaultAnnounceInterval = 500 * time.Millisecond
-	// DefaultExpiryFactor times the announce interval gives the remote
-	// profile time-to-live.
-	DefaultExpiryFactor = 4
 	// DefaultCoalesceWindow is how long an AddLocal-triggered delta advert
 	// waits to absorb further registrations. Importing N translators in a
 	// burst (a mapper discovering a device population) broadcasts one
@@ -64,34 +61,47 @@ var ErrNotFound = errors.New("directory: translator not found")
 
 // Listener receives notifications when translators are mapped to or
 // unmapped from the intermediary semantic space — the paper's
-// DirectoryListener (Figure 6-(2)). The profile passed to
-// TranslatorMapped is shared with the directory's internal state and
-// must be treated as read-only; listeners that need to retain a mutable
-// copy must Clone it.
+// DirectoryListener (Figure 6-(2)). Notifications are batched: one
+// advert (a full-state sync, a node death dropping hundreds of entries,
+// a lease sweep) maps or unmaps many translators at once and reaches
+// the listener in a single call. At directory scale this is the
+// difference between one path-table scan per advert and one per
+// translator. The slices, and the profiles inside, are shared with the
+// directory's internal state: treat them as read-only, valid only for
+// the duration of the call, and Clone a profile to keep a mutable copy.
 type Listener interface {
-	// TranslatorMapped is called when a new translator (local or remote)
-	// becomes visible.
-	TranslatorMapped(p core.Profile)
-	// TranslatorUnmapped is called when a translator disappears.
-	TranslatorUnmapped(id core.TranslatorID)
+	// TranslatorsMapped is called with every translator (local or
+	// remote) one event made visible or updated.
+	TranslatorsMapped(ps []core.Profile)
+	// TranslatorsUnmapped is called with every translator one event
+	// removed.
+	TranslatorsUnmapped(ids []core.TranslatorID)
 }
 
-// ListenerFuncs adapts two functions to the Listener interface.
+// ListenerFuncs adapts per-translator callbacks to the Listener
+// interface: each batch calls the func once per translator, in batch
+// order.
 type ListenerFuncs struct {
 	Mapped   func(p core.Profile)
 	Unmapped func(id core.TranslatorID)
 }
 
-// TranslatorMapped calls Mapped if non-nil.
-func (l ListenerFuncs) TranslatorMapped(p core.Profile) {
-	if l.Mapped != nil {
-		l.Mapped(p)
+// TranslatorsMapped calls Mapped, if non-nil, for each profile.
+func (l ListenerFuncs) TranslatorsMapped(ps []core.Profile) {
+	if l.Mapped == nil {
+		return
+	}
+	for i := range ps {
+		l.Mapped(ps[i])
 	}
 }
 
-// TranslatorUnmapped calls Unmapped if non-nil.
-func (l ListenerFuncs) TranslatorUnmapped(id core.TranslatorID) {
-	if l.Unmapped != nil {
+// TranslatorsUnmapped calls Unmapped, if non-nil, for each id.
+func (l ListenerFuncs) TranslatorsUnmapped(ids []core.TranslatorID) {
+	if l.Unmapped == nil {
+		return
+	}
+	for _, id := range ids {
 		l.Unmapped(id)
 	}
 }
@@ -107,25 +117,6 @@ type NodeListener interface {
 	NodeUp(node string)
 	// NodeDown is called when a peer node's lease lapses or it says bye.
 	NodeDown(node string)
-}
-
-// BatchListener is an optional extension of Listener: when one advert
-// maps or unmaps many translators at once (a full-state sync, a node
-// death dropping hundreds of entries, a lease sweep), a listener that
-// also implements BatchListener receives a single batched call instead
-// of N per-translator calls. At directory scale this is the difference
-// between one path-table scan per advert and one per translator. The
-// slices (and the profiles inside) are shared with the directory and
-// must be treated as read-only; they are only valid for the duration of
-// the call. Listeners that do not implement BatchListener still receive
-// the per-translator calls, in batch order.
-type BatchListener interface {
-	// TranslatorsMapped is called with every translator one advert made
-	// visible (or updated).
-	TranslatorsMapped(ps []core.Profile)
-	// TranslatorsUnmapped is called with every translator one advert
-	// (or one expiry sweep) removed.
-	TranslatorsUnmapped(ids []core.TranslatorID)
 }
 
 // advertTypes lists every advert type this directory can emit; metric
@@ -209,8 +200,6 @@ type advert struct {
 type Options struct {
 	// AnnounceInterval overrides DefaultAnnounceInterval.
 	AnnounceInterval time.Duration
-	// ExpiryFactor overrides DefaultExpiryFactor.
-	ExpiryFactor int
 	// CoalesceWindow overrides DefaultCoalesceWindow: how long an
 	// AddLocal-triggered delta advert is delayed to batch with others.
 	CoalesceWindow time.Duration
@@ -251,9 +240,9 @@ type Options struct {
 	// and journals its state changes to. nil runs without persistence.
 	// The directory does not close the log; its opener does, after Close.
 	WAL *wal.Log
-	// Lease tunes liveness-lease derivation, including the restart grace
-	// peers grant on a clean "restarting" advert. A non-zero ExpiryFactor
-	// (the legacy field) overrides Lease.ExpiryFactor.
+	// Lease tunes liveness-lease derivation: the lease is
+	// Lease.ExpiryFactor announce intervals, and the restart grace is
+	// what peers grant on a clean "restarting" advert.
 	Lease qos.LeasePolicy
 }
 
@@ -273,11 +262,6 @@ func (o Options) withDefaults() Options {
 		o.AnnounceInterval = DefaultAnnounceInterval
 	}
 	o.Lease = o.Lease.WithDefaults()
-	if o.ExpiryFactor > 0 {
-		o.Lease.ExpiryFactor = o.ExpiryFactor
-	} else {
-		o.ExpiryFactor = o.Lease.ExpiryFactor
-	}
 	if o.CoalesceWindow <= 0 {
 		o.CoalesceWindow = DefaultCoalesceWindow
 	}
@@ -625,7 +609,7 @@ func (d *Directory) Node() string { return d.node }
 
 // lease returns the liveness lease this node advertises.
 func (d *Directory) lease() time.Duration {
-	return time.Duration(d.opts.ExpiryFactor) * d.opts.AnnounceInterval
+	return d.opts.Lease.Lease(d.opts.AnnounceInterval)
 }
 
 // restartGrace returns how long peers are asked to hold this node's
@@ -857,7 +841,7 @@ func (d *Directory) AddLocal(tr core.Translator) error {
 	d.mu.Unlock()
 
 	d.trace.Event("translator_mapped", d.node, string(sealed.ID))
-	d.notifyMapped(listeners, sealed)
+	d.notifyMapped(listeners, []core.Profile{sealed})
 	// Coalesced rather than immediate: a mapper importing a device burst
 	// broadcasts one delta advert, not O(N) of them.
 	d.scheduleDelta()
@@ -897,7 +881,7 @@ func (d *Directory) RemoveLocal(id core.TranslatorID) (core.Translator, error) {
 
 	d.cache.Invalidate(id)
 	d.trace.Event("translator_unmapped", d.node, string(id))
-	d.notifyUnmapped(listeners, id)
+	d.notifyUnmapped(listeners, []core.TranslatorID{id})
 	if !unannounced {
 		d.send(advert{Type: "remove", Node: d.node, Zone: d.zone, Removed: []core.TranslatorID{id}, Version: version, Fp: fp, Ifps: ifps})
 	}
@@ -927,68 +911,30 @@ func (d *Directory) ifpsLocked() map[string]uint64 {
 	return m
 }
 
-// notifyMapped runs every listener's TranslatorMapped, timing the full
-// fan-out — the listener-notify latency the paper's monitoring dimension
-// calls for (a slow listener stalls discovery propagation). The sealed
-// profile is shared across listeners (see Listener's read-only contract).
-func (d *Directory) notifyMapped(listeners []Listener, p core.Profile) {
-	if len(listeners) == 0 {
-		return
-	}
-	start := time.Now()
-	for _, l := range listeners {
-		l.TranslatorMapped(p)
-	}
-	d.met.notifyLat.ObserveDuration(time.Since(start))
-}
-
-// notifyUnmapped is notifyMapped's counterpart for departures.
-func (d *Directory) notifyUnmapped(listeners []Listener, id core.TranslatorID) {
-	if len(listeners) == 0 {
-		return
-	}
-	start := time.Now()
-	for _, l := range listeners {
-		l.TranslatorUnmapped(id)
-	}
-	d.met.notifyLat.ObserveDuration(time.Since(start))
-}
-
-// notifyMappedBatch fans one advert's worth of mapped translators out to
-// every listener: BatchListeners get the whole slice in one call,
-// everyone else gets the per-translator calls in order. One latency
-// observation covers the full fan-out, same as the single-event path.
-func (d *Directory) notifyMappedBatch(listeners []Listener, ps []core.Profile) {
+// notifyMapped hands one event's worth of mapped translators to every
+// listener, timing the full fan-out — the listener-notify latency the
+// paper's monitoring dimension calls for (a slow listener stalls
+// discovery propagation). The slice is shared across listeners (see
+// Listener's read-only contract).
+func (d *Directory) notifyMapped(listeners []Listener, ps []core.Profile) {
 	if len(listeners) == 0 || len(ps) == 0 {
 		return
 	}
 	start := time.Now()
 	for _, l := range listeners {
-		if bl, ok := l.(BatchListener); ok {
-			bl.TranslatorsMapped(ps)
-			continue
-		}
-		for i := range ps {
-			l.TranslatorMapped(ps[i])
-		}
+		l.TranslatorsMapped(ps)
 	}
 	d.met.notifyLat.ObserveDuration(time.Since(start))
 }
 
-// notifyUnmappedBatch is notifyMappedBatch's counterpart for departures.
-func (d *Directory) notifyUnmappedBatch(listeners []Listener, ids []core.TranslatorID) {
+// notifyUnmapped is notifyMapped's counterpart for departures.
+func (d *Directory) notifyUnmapped(listeners []Listener, ids []core.TranslatorID) {
 	if len(listeners) == 0 || len(ids) == 0 {
 		return
 	}
 	start := time.Now()
 	for _, l := range listeners {
-		if bl, ok := l.(BatchListener); ok {
-			bl.TranslatorsUnmapped(ids)
-			continue
-		}
-		for _, id := range ids {
-			l.TranslatorUnmapped(id)
-		}
+		l.TranslatorsUnmapped(ids)
 	}
 	d.met.notifyLat.ObserveDuration(time.Since(start))
 }
@@ -1094,8 +1040,9 @@ func (d *Directory) Resolve(id core.TranslatorID) (core.Profile, error) {
 }
 
 // AddListener registers a notification listener — the paper's Figure
-// 6-(2) API. The listener immediately receives TranslatorMapped for
-// every currently known translator, so callers need not race discovery.
+// 6-(2) API. The listener immediately receives every currently known
+// translator as one TranslatorsMapped batch, so callers need not race
+// discovery.
 func (d *Directory) AddListener(l Listener) {
 	d.mu.Lock()
 	d.listeners = append(d.listeners, l)
@@ -1107,8 +1054,8 @@ func (d *Directory) AddListener(l Listener) {
 		known = append(known, e.profile)
 	}
 	d.mu.Unlock()
-	for _, p := range known {
-		l.TranslatorMapped(p)
+	if len(known) > 0 {
+		l.TranslatorsMapped(known)
 	}
 }
 
@@ -1282,8 +1229,8 @@ func (d *Directory) applyInterestChange() {
 	for _, id := range dropped {
 		d.cache.Invalidate(id)
 		d.trace.Event("translator_unmapped", d.node, string(id))
-		d.notifyUnmapped(listeners, id)
 	}
+	d.notifyUnmapped(listeners, dropped)
 	if enabled {
 		d.sendHeartbeat()
 	}
@@ -1709,20 +1656,17 @@ func (d *Directory) ingestProfiles(profiles []core.Profile, zone string) int {
 			mapped = append(mapped, sealed)
 		}
 	}
-	d.notifyMappedCollected(mapped)
+	if len(mapped) > 0 {
+		d.notifyMapped(d.listenerSet(), mapped)
+	}
 	return kept
 }
 
-// notifyMappedCollected snapshots the listener set and fans out one
-// batched mapped notification for profiles collected across an advert.
-func (d *Directory) notifyMappedCollected(mapped []core.Profile) {
-	if len(mapped) == 0 {
-		return
-	}
-	d.mu.Lock()
-	listeners := append([]Listener(nil), d.listeners...)
-	d.mu.Unlock()
-	d.notifyMappedBatch(listeners, mapped)
+// listenerSet snapshots the registered listeners.
+func (d *Directory) listenerSet() []Listener {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return append([]Listener(nil), d.listeners...)
 }
 
 // ingest admits one shape-restored wire profile. ok reports whether it
@@ -1829,7 +1773,9 @@ func (d *Directory) reconcile(a advert) int {
 			mapped = append(mapped, sealed)
 		}
 	}
-	d.notifyMappedCollected(mapped)
+	if len(mapped) > 0 {
+		d.notifyMapped(d.listenerSet(), mapped)
+	}
 	if a.Filtered && !d.coveredByIfps(a.Ifps) {
 		return kept
 	}
@@ -1861,7 +1807,7 @@ func (d *Directory) reconcile(a advert) int {
 		d.cache.Invalidate(id)
 		d.trace.Event("translator_unmapped", d.node, string(id))
 	}
-	d.notifyUnmappedBatch(listeners, dropped)
+	d.notifyUnmapped(listeners, dropped)
 	return kept
 }
 
@@ -2085,7 +2031,7 @@ func (d *Directory) dropRemote(id core.TranslatorID) {
 	}
 	d.cache.Invalidate(id)
 	d.trace.Event("translator_unmapped", d.node, string(id))
-	d.notifyUnmapped(listeners, id)
+	d.notifyUnmapped(listeners, []core.TranslatorID{id})
 }
 
 // touchNode renews a remote node's liveness lease, firing node_up when
@@ -2180,7 +2126,7 @@ func (d *Directory) dropNode(node string, entryTrace string) int {
 		d.cache.Invalidate(id)
 		d.trace.Event(entryTrace, d.node, string(id))
 	}
-	d.notifyUnmappedBatch(listeners, dropped)
+	d.notifyUnmapped(listeners, dropped)
 	if wasLive {
 		for _, l := range listeners {
 			if nl, ok := l.(NodeListener); ok {
@@ -2287,5 +2233,5 @@ func (d *Directory) expireStale() {
 		d.met.expired.Inc()
 		d.trace.Event("expiry", d.node, string(id))
 	}
-	d.notifyUnmappedBatch(listeners, dropped)
+	d.notifyUnmapped(listeners, dropped)
 }

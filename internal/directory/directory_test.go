@@ -9,11 +9,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netemu"
+	"repro/internal/qos"
 )
 
 // fastOpts keeps the announce cadence quick so tests converge fast.
 func fastOpts() Options {
-	return Options{AnnounceInterval: 20 * time.Millisecond, ExpiryFactor: 4}
+	return Options{AnnounceInterval: 20 * time.Millisecond, Lease: qos.LeasePolicy{ExpiryFactor: 4}}
 }
 
 func testProfile(node, local string) core.Profile {
@@ -53,16 +54,16 @@ type recorder struct {
 	unmapped []core.TranslatorID
 }
 
-func (r *recorder) TranslatorMapped(p core.Profile) {
+func (r *recorder) TranslatorsMapped(ps []core.Profile) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.mapped = append(r.mapped, p)
+	r.mapped = append(r.mapped, ps...)
 }
 
-func (r *recorder) TranslatorUnmapped(id core.TranslatorID) {
+func (r *recorder) TranslatorsUnmapped(ids []core.TranslatorID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.unmapped = append(r.unmapped, id)
+	r.unmapped = append(r.unmapped, ids...)
 }
 
 func (r *recorder) counts() (int, int) {

@@ -412,7 +412,7 @@ func (d *Directory) dropUnclaimedWarm() {
 		d.trace.Event("translator_unmapped", d.node, string(id))
 		d.opts.Logger.Info("directory: dropping unclaimed warm entry", "id", id)
 	}
-	d.notifyUnmappedBatch(listeners, dropped)
+	d.notifyUnmapped(listeners, dropped)
 	d.send(advert{
 		Type: "remove", Node: d.node, Zone: d.zone, Removed: dropped,
 		Version: version, Fp: fp, Ifps: ifps,

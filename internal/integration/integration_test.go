@@ -394,8 +394,11 @@ func TestFigure5CameraToTVAcrossNodes(t *testing.T) {
 	}
 
 	// Fire the shutter from H2 (remote connect request travels to H1).
+	// Connect fails at once for a destination H2's directory has not
+	// learned yet, so wait for H2's view of the camera first.
 	shutter := trigger("h2", "shutter", "control/trigger")
 	h2.Register(shutter)
+	w.waitLookup(h2, core.Query{DeviceType: "BIP-Camera"}, 1)
 	if _, err := h2.Connect(ref(shutter, "out"), core.PortRef{Translator: camProfile.ID, Port: "capture"}); err != nil {
 		t.Fatalf("remote Connect: %v", err)
 	}
@@ -1016,7 +1019,9 @@ func TestRemappedBindingEndToEnd(t *testing.T) {
 	}
 
 	// Static connect through the remapped name. The path lands on h1
-	// (the source's owner), which only knows the wire ID.
+	// (the source's owner), which only knows the wire ID — and must
+	// already know the destination.
+	w.waitLookup(h1, core.Query{NameContains: "tv"}, 1)
 	id, err := h2.Connect(core.PortRef{Translator: p.ID, Port: "out"}, ref(tv, "in"))
 	if err != nil {
 		t.Fatalf("Connect through remapped name: %v", err)

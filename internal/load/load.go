@@ -69,9 +69,6 @@ type Config struct {
 	// ChurnDownFor is how long a flapped device stays unregistered.
 	// Default 100ms.
 	ChurnDownFor time.Duration
-	// WriteShards overrides the per-peer striped write connection count
-	// (0 = transport default: GOMAXPROCS capped at 16).
-	WriteShards int
 	// Seed fixes the arrival schedule and churn choices. Default 1.
 	Seed int64
 	// DrainTimeout bounds the post-emission wait for in-flight
@@ -197,7 +194,6 @@ func Run(cfg Config) (Report, error) {
 		}
 		retry := qos.RetryPolicy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Multiplier: 2}
 		mod := transport.New(name, host, dir, transport.Options{
-			WriteShards:        cfg.WriteShards,
 			DisablePathMetrics: true, // 8 series per path is untenable at 100k+ paths
 			DeliverTimeout:     5 * time.Second,
 			DialTimeout:        2 * time.Second,

@@ -8,35 +8,18 @@ import (
 	"repro/internal/obs"
 )
 
-// Ownership selects how inbound payload buffers are handed to local
-// translators. The buffers come from a process-wide pool; the question
-// is who is allowed to touch one after Translator.Deliver returns.
-type Ownership int
-
-const (
-	// OwnershipTracked (the default) delivers the pooled buffer
-	// zero-copy and enforces the contract instead of trusting it: after
-	// Deliver returns, the buffer enters a quarantine ring with a
-	// checksum and is only recycled once the checksum verifies. A
-	// translator that mutates a delivered payload after returning is
-	// detected (umiddle_transport_ownership_violations_total), the
-	// tainted buffer is discarded rather than recycled, and the event
-	// is traced. Detection covers the quarantine window (the last
-	// quarantineDepth deliveries plus everything still unflushed at
-	// Close); a violator can corrupt only its own copy, never a later
-	// frame's.
-	OwnershipTracked Ownership = iota
-	// OwnershipCopy copies every payload out of the pooled buffer
-	// before delivery — the old default. The message is safe to retain
-	// indefinitely; the cost is one allocation and copy per inbound
-	// message, which dominates the hot path at high rates.
-	OwnershipCopy
-	// OwnershipAliased delivers zero-copy with no tracking: the buffer
-	// is recycled the moment Deliver returns. Fastest, but a violating
-	// translator corrupts future frames undetected. Only for translator
-	// sets audited by the OwnershipTracked regression tests.
-	OwnershipAliased
-)
+// Delivery is zero-copy: a translator's Deliver sees a payload that
+// aliases a pooled read buffer, and must finish with it before
+// returning (retaining a payload requires core.Message.Clone). The
+// contract is enforced rather than trusted: after Deliver returns, the
+// buffer enters a quarantine ring with a checksum and is recycled only
+// once the checksum verifies. A translator that mutates a delivered
+// payload after returning is detected
+// (umiddle_transport_ownership_violations_total), the tainted buffer is
+// discarded rather than recycled, and the event is traced. Detection
+// covers the quarantine window (the last quarantineDepth deliveries
+// plus everything still unflushed at Close); a violator can corrupt
+// only its own copy, never a later frame's.
 
 // quarantineDepth is the number of delivered buffers held back from the
 // pool for verification. Deep enough to catch the common bug shape — a
@@ -83,7 +66,7 @@ type quarEntry struct {
 	sum     uint64
 }
 
-// quarantine is the tracked-ownership ring: delivered pooled buffers
+// quarantine is the ownership ring: delivered pooled buffers
 // are admitted with a checksum and recycled only after the checksum
 // verifies on eviction (ring full) or flush (module close).
 type quarantine struct {

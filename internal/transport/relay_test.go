@@ -18,6 +18,13 @@ import (
 // relaying; the transport forwards frames whenever routed ones arrive.
 func meshNode(t *testing.T, net *netemu.Network, name string, relay bool) *node {
 	t.Helper()
+	return meshNodeTTL(t, net, name, relay, 6)
+}
+
+// meshNodeTTL is meshNode with an explicit directory advert relay hop
+// budget, for meshes wider than meshNode's default covers.
+func meshNodeTTL(t *testing.T, net *netemu.Network, name string, relay bool, dirTTL int) *node {
+	t.Helper()
 	host := net.Host(name)
 	if host == nil {
 		host = net.MustAddHost(name)
@@ -25,7 +32,7 @@ func meshNode(t *testing.T, net *netemu.Network, name string, relay bool) *node 
 	dir := directory.New(name, host, directory.Options{
 		AnnounceInterval: 20 * time.Millisecond,
 		Relay:            relay,
-		RelayTTL:         6,
+		RelayTTL:         dirTTL,
 	})
 	if err := dir.Start(); err != nil {
 		t.Fatalf("directory start: %v", err)
@@ -34,7 +41,6 @@ func meshNode(t *testing.T, net *netemu.Network, name string, relay bool) *node 
 		DeliverTimeout: 2 * time.Second,
 		DialTimeout:    time.Second,
 		Retry:          qos.RetryPolicy{MaxAttempts: 6, BaseDelay: 20 * time.Millisecond},
-		RelayTTL:       6,
 	})
 	if err := mod.Start(); err != nil {
 		t.Fatalf("transport start: %v", err)
@@ -96,6 +102,53 @@ func TestDeliverAcrossSegments(t *testing.T) {
 	// Source metadata survives the hops intact.
 	if msg.Source != portRef(src, "out") {
 		t.Fatalf("source = %v", msg.Source)
+	}
+}
+
+// TestDeliverAcrossLongChain: a chain with nine relays between source
+// and destination. The directory's advert hop budget covers the chain,
+// so the route is learned; the deliver frame's hop budget must then
+// follow from that route rather than from a fixed default, or the frame
+// dies partway along the chain.
+func TestDeliverAcrossLongChain(t *testing.T) {
+	const relays = 9
+	names := make([]string, relays+2)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i)
+	}
+	net, err := netemu.NewMesh(netemu.Unlimited(), netemu.ChainTopology(names...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	nodes := make([]*node, len(names))
+	for i, name := range names {
+		nodes[i] = meshNodeTTL(t, net, name, i > 0 && i < len(names)-1, 16)
+	}
+	first, last := nodes[0], nodes[len(nodes)-1]
+
+	src := producer(first.name, "camera", "image/jpeg")
+	dst := newCollector(last.name, "tv", "image/jpeg")
+	first.register(t, src)
+	last.register(t, dst)
+	waitFor(t, 10*time.Second, func() bool {
+		if _, err := first.dir.Resolve(dst.Profile().ID); err != nil {
+			return false
+		}
+		hops, ok := first.dir.Route(last.name)
+		return ok && len(hops) == relays
+	})
+	if _, err := first.mod.Connect(portRef(src, "out"), portRef(dst, "in")); err != nil {
+		t.Fatalf("connect along the chain: %v", err)
+	}
+	first.mod.Emit(portRef(src, "out"), core.Message{Type: "image/jpeg", Payload: []byte("far")})
+	if msg := dst.wait(t, 5*time.Second); string(msg.Payload) != "far" {
+		t.Fatalf("payload = %q", msg.Payload)
+	}
+	for _, n := range nodes[1 : len(nodes)-1] {
+		if got := relayedCount(n); got == 0 {
+			t.Fatalf("relay %s forwarded no frames", n.name)
+		}
 	}
 }
 

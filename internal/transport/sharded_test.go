@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -52,13 +53,16 @@ func (s *orderedSink) snapshot() []string {
 }
 
 // TestShardedDispatchExactlyOnce is the race/soak audit for the
-// per-core sharded group-commit: with WriteShards > 1 every outbound
+// per-core sharded group-commit: with several write stripes every outbound
 // path is pinned to one of several striped connections per peer, so
 // the single-leader flush convoy is gone — but the PR 3 contract must
 // survive: every message delivered exactly once, in per-path order,
 // nothing dropped, under directory churn and link faults, with the
 // race detector watching the striped redial machinery.
 func TestShardedDispatchExactlyOnce(t *testing.T) {
+	// The stripe count follows GOMAXPROCS; pin it so the paths spread
+	// over four stripes on any host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	net := netemu.NewNetwork(netemu.Unlimited())
 	defer net.Close()
 
@@ -70,7 +74,6 @@ func TestShardedDispatchExactlyOnce(t *testing.T) {
 			t.Fatalf("directory start: %v", err)
 		}
 		mod := New(name, host, dir, Options{
-			WriteShards:    4,
 			DeliverTimeout: 5 * time.Second,
 			DialTimeout:    2 * time.Second,
 			Retry:          retry,

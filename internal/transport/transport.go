@@ -32,6 +32,9 @@ import (
 // DefaultPort is the inter-node transport port.
 const DefaultPort = 7788
 
+// maxWriteShards caps the striped write connections per peer node.
+const maxWriteShards = 16
+
 // Errors returned by the transport module.
 var (
 	// ErrPathNotFound is returned when disconnecting an unknown path.
@@ -269,35 +272,6 @@ type Options struct {
 	// When a cycle exhausts, waiting deliveries fail (and consume one
 	// Retry attempt); a later delivery starts a fresh cycle.
 	Redial qos.RetryPolicy
-	// DeliverWorkers bounds the concurrent inbound delivery workers
-	// (default 8). Inbound deliveries are queued per destination port:
-	// one worker drains one destination at a time, preserving
-	// per-destination ordering while independent destinations proceed
-	// in parallel instead of serializing behind one per-connection
-	// queue.
-	DeliverWorkers int
-	// RelayTTL bounds the hops a deliver frame may be forwarded through
-	// when the destination shares no link and the directory supplies a
-	// relay route (default 8).
-	RelayTTL int
-	// DeliverOwnership selects how inbound payload buffers are handed
-	// to local translators. The default, OwnershipTracked, delivers
-	// zero-copy and verifies after the fact that no translator mutated
-	// a payload it had already returned (see Ownership). Translators
-	// must finish with msg.Payload before Deliver returns; retaining a
-	// payload requires copying it first (core.Message.Clone).
-	DeliverOwnership Ownership
-	// ZeroCopyDeliver is the deprecated spelling of
-	// OwnershipAliased: zero-copy delivery with no mutation tracking.
-	// Ignored when DeliverOwnership is set explicitly.
-	ZeroCopyDeliver bool
-	// WriteShards sets how many striped connections this module opens
-	// toward each peer node (default: GOMAXPROCS, capped at 16). Each
-	// outbound path is pinned to one stripe, so per-path frame order is
-	// preserved while the group-commit leader — a single convoy point
-	// per connection — is sharded across stripes and cores. Stripe 0
-	// doubles as the control-frame connection.
-	WriteShards int
 	// DisablePathMetrics makes every path share one aggregate set of
 	// registry series instead of resolving eight per-path series. At
 	// load-harness scale (100k+ concurrent paths) per-path cardinality
@@ -320,21 +294,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.DeliverWorkers <= 0 {
-		o.DeliverWorkers = 8
-	}
-	if o.RelayTTL <= 0 {
-		o.RelayTTL = 8
-	}
-	if o.DeliverOwnership == OwnershipTracked && o.ZeroCopyDeliver {
-		o.DeliverOwnership = OwnershipAliased
-	}
-	if o.WriteShards <= 0 {
-		o.WriteShards = runtime.GOMAXPROCS(0)
-	}
-	if o.WriteShards > 16 {
-		o.WriteShards = 16
 	}
 	o.Retry = o.Retry.WithDefaults()
 	o.Redial = o.Redial.WithDefaults()
@@ -376,6 +335,13 @@ type Module struct {
 	host *netemu.Host
 	dir  *directory.Directory
 	opts Options
+	// writeShards is how many striped write connections the module
+	// opens toward each peer node: GOMAXPROCS, capped at
+	// maxWriteShards. Each outbound path is pinned to one stripe, so
+	// per-path frame order is preserved while the group-commit leader —
+	// a single convoy point per connection — is sharded across stripes
+	// and cores. Stripe 0 doubles as the control-frame connection.
+	writeShards int
 
 	// Module-wide metric handles (per-path handles live on each path).
 	latency     *obs.Histogram // aggregate delivery latency across paths
@@ -397,8 +363,8 @@ type Module struct {
 	dispatch *dispatcher
 	// matchCache memoizes Query.Matches for dynamic-path rebinding.
 	matchCache *core.MatchCache
-	// quar is the tracked-ownership quarantine ring (nil unless
-	// DeliverOwnership is OwnershipTracked).
+	// quar holds delivered payload buffers until their checksum
+	// verifies (ownership.go).
 	quar       *quarantine
 	violations *obs.Counter
 	// sharedPathMet is the single aggregate metric set every path uses
@@ -463,18 +429,19 @@ func (m *Module) SetRetryPolicies(retry, redial qos.RetryPolicy) {
 func New(node string, host *netemu.Host, dir *directory.Directory, opts Options) *Module {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Module{
-		node:      node,
-		host:      host,
-		dir:       dir,
-		opts:      opts.withDefaults(),
-		ctx:       ctx,
-		cancel:    cancel,
-		peers:     make(map[string]*peer),
-		conns:     make(map[*frameConn]struct{}),
-		paths:     make(map[PathID]*path),
-		bySrc:     make(map[core.PortRef][]*path),
-		pending:   make(map[uint64]chan frame),
-		relaySeen: make(map[string]*relayWindow),
+		node:        node,
+		host:        host,
+		dir:         dir,
+		opts:        opts.withDefaults(),
+		writeShards: min(runtime.GOMAXPROCS(0), maxWriteShards),
+		ctx:         ctx,
+		cancel:      cancel,
+		peers:       make(map[string]*peer),
+		conns:       make(map[*frameConn]struct{}),
+		paths:       make(map[PathID]*path),
+		bySrc:       make(map[core.PortRef][]*path),
+		pending:     make(map[uint64]chan frame),
+		relaySeen:   make(map[string]*relayWindow),
 	}
 	// Seed relay ids from the clock so a restarted node's ids land above
 	// anything its previous incarnation left in peer dedup windows.
@@ -502,7 +469,7 @@ func New(node string, host *netemu.Host, dir *directory.Directory, opts Options)
 	reg.Describe("umiddle_transport_relay_dup_dropped_total", "Relayed deliver frames dropped as duplicates of an already-forwarded (origin, id).")
 	reg.Describe("umiddle_transport_relay_ttl_dropped_total", "Relayed deliver frames dropped with an exhausted hop budget.")
 	reg.Describe("umiddle_transport_relay_route_failed_total", "Relayed deliver frames dropped because the next hop was unreachable.")
-	reg.Describe("umiddle_transport_ownership_violations_total", "Delivered payload buffers found mutated after Deliver returned (tracked zero-copy contract violations).")
+	reg.Describe("umiddle_transport_ownership_violations_total", "Delivered payload buffers found mutated after Deliver returned (zero-copy contract violations).")
 	// Resolved eagerly so /metrics shows the latency family (and the
 	// queue-depth gauge) even before the first message flows.
 	labels := obs.Labels{"node": node}
@@ -523,14 +490,12 @@ func New(node string, host *netemu.Host, dir *directory.Directory, opts Options)
 			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64}),
 	}
 	m.violations = reg.Counter("umiddle_transport_ownership_violations_total", labels)
-	if m.opts.DeliverOwnership == OwnershipTracked {
-		m.quar = newQuarantine(node, m.violations, m.trace)
-	}
+	m.quar = newQuarantine(node, m.violations, m.trace)
 	if m.opts.DisablePathMetrics {
 		met := m.newPathMetricsFor(PathID("_aggregate"))
 		m.sharedPathMet = &met
 	}
-	m.dispatch = newDispatcher(m, m.opts.DeliverWorkers)
+	m.dispatch = newDispatcher(m)
 	m.matchCache = core.NewMatchCache(0)
 	cacheHits := reg.Counter("umiddle_transport_match_cache_hits_total", labels)
 	cacheMisses := reg.Counter("umiddle_transport_match_cache_misses_total", labels)
@@ -630,16 +595,14 @@ func (m *Module) Close() error {
 	}
 	m.dispatch.close()
 	m.wg.Wait()
-	if m.quar != nil {
-		// Verify everything still quarantined so late mutations within
-		// the final window are reported before the counters are read.
-		m.quar.flush()
-	}
+	// Verify everything still quarantined so late mutations within the
+	// final window are reported before the counters are read.
+	m.quar.flush()
 	return nil
 }
 
 // OwnershipViolations reports how many delivered payloads were found
-// mutated after their Deliver returned (OwnershipTracked mode).
+// mutated after their Deliver returned.
 func (m *Module) OwnershipViolations() uint64 { return m.violations.Value() }
 
 func (m *Module) acceptLoop(l *netemu.Listener) {
@@ -817,10 +780,10 @@ func stripeKey(node string, stripe int) string {
 // peerForStripe is peerFor on one of the node's striped write
 // connections. Each outbound path is pinned to a stripe, so the
 // group-commit leader convoy of a single shared connection is sharded
-// across WriteShards connections while frames of any one path stay
+// across writeShards connections while frames of any one path stay
 // ordered on one stream.
 func (m *Module) peerForStripe(node string, stripe uint64) (*frameConn, uint64, string, error) {
-	key := stripeKey(node, int(stripe%uint64(m.opts.WriteShards)))
+	key := stripeKey(node, int(stripe%uint64(m.writeShards)))
 	fc, gen, err := m.peerForKey(key, node)
 	return fc, gen, key, err
 }
@@ -835,7 +798,7 @@ func (m *Module) peerForStripe(node string, stripe uint64) (*frameConn, uint64, 
 func (m *Module) pathConn(p *path, node string) (*frameConn, string, error) {
 	if p.skNode != node {
 		p.skNode = node
-		p.skKey = stripeKey(node, int(p.stripe%uint64(m.opts.WriteShards)))
+		p.skKey = stripeKey(node, int(p.stripe%uint64(m.writeShards)))
 		p.fcCache = nil
 	}
 	if p.fcCache != nil {
@@ -1413,7 +1376,7 @@ func (m *Module) removeLocalPath(id PathID) error {
 // payload transfers to the transport (core.Sink contract), so fan-out
 // shares one payload across paths instead of deep-copying per path —
 // translators and local deliveries treat payloads as immutable, which
-// OwnershipTracked verifies on the inbound side.
+// the ownership quarantine verifies on the inbound side.
 func (m *Module) Emit(src core.PortRef, msg core.Message) {
 	m.mu.Lock()
 	paths := append([]*path(nil), m.bySrc[src]...)
@@ -1585,7 +1548,10 @@ func (m *Module) deliver(p *path, dst core.PortRef, msg core.Message) error {
 	if first, route, ok := m.routeFor(node); ok {
 		f := deliverFrame(m.node, dst, msg)
 		f.header.Route = route
-		f.header.TTL = m.opts.RelayTTL
+		// A source route only shortens at each hop, so it fixes the hop
+		// budget: each of the len(route) relays needs TTL > 1 and spends
+		// one, so the last relay still sees 2.
+		f.header.TTL = len(route) + 1
 		f.header.RelayID = m.relayID.Add(1)
 		fc, key, err := m.pathConn(p, first)
 		if err != nil {
@@ -1741,62 +1707,23 @@ func (c *lazyTimeoutCtx) Err() error {
 
 func (c *lazyTimeoutCtx) Value(key any) any { return c.parent.Value(key) }
 
-// dirListener routes directory notifications — translator mapped and
+// dirListener routes directory notifications — translators mapped and
 // unmapped, node up and down — into the module's binding maintenance.
+// Notifications arrive batched (one advert can map or drop thousands of
+// translators), so each costs one path-table scan, not one per
+// translator.
 type dirListener struct{ m *Module }
 
 var _ directory.NodeListener = dirListener{}
-var _ directory.BatchListener = dirListener{}
 
-func (l dirListener) TranslatorMapped(p core.Profile)         { l.m.onMapped(p) }
-func (l dirListener) TranslatorUnmapped(id core.TranslatorID) { l.m.onUnmapped(id) }
-func (l dirListener) NodeUp(string)                           {}
-func (l dirListener) NodeDown(node string)                    { l.m.onNodeDown(node) }
+func (l dirListener) TranslatorsMapped(ps []core.Profile)         { l.m.onMapped(ps) }
+func (l dirListener) TranslatorsUnmapped(ids []core.TranslatorID) { l.m.onUnmapped(ids) }
+func (l dirListener) NodeUp(string)                               {}
+func (l dirListener) NodeDown(node string)                        { l.m.onNodeDown(node) }
 
-// Batched notifications (one advert mapping or dropping many
-// translators at once): one path-table scan per batch instead of one
-// per translator — the per-event scans turn quadratic when a sync
-// carries thousands of profiles into a node holding thousands of paths.
-func (l dirListener) TranslatorsMapped(ps []core.Profile)         { l.m.onMappedBatch(ps) }
-func (l dirListener) TranslatorsUnmapped(ids []core.TranslatorID) { l.m.onUnmappedBatch(ids) }
-
-// onMapped re-evaluates dynamic paths when a translator appears, and
+// onMapped re-evaluates dynamic paths when translators appear, and
 // clears the degraded flag of static paths whose destination returned.
-func (m *Module) onMapped(p core.Profile) {
-	m.mu.Lock()
-	dynamic := make([]*path, 0, len(m.paths))
-	var static []*path
-	for _, pt := range m.paths {
-		switch {
-		case pt.query != nil:
-			dynamic = append(dynamic, pt)
-		case pt.static != nil && pt.static.Translator == p.ID:
-			static = append(static, pt)
-		}
-	}
-	m.mu.Unlock()
-	for _, pt := range dynamic {
-		// Memoized: a re-announce with an unchanged profile costs one
-		// cache probe per dynamic path instead of O(ports) matching.
-		if m.matchCache.Matches(*pt.query, p) {
-			pt.tryBind(p, pt.srcType)
-			m.noteRebound(pt)
-		}
-	}
-	for _, pt := range static {
-		pt.mu.Lock()
-		was := pt.degraded
-		pt.degraded = false
-		pt.mu.Unlock()
-		if was {
-			m.trace.Event("path_recovered", m.node, string(pt.id)+": destination "+string(p.ID)+" mapped again")
-		}
-	}
-}
-
-// onMappedBatch is onMapped over one advert's worth of profiles with a
-// single path-table scan.
-func (m *Module) onMappedBatch(ps []core.Profile) {
+func (m *Module) onMapped(ps []core.Profile) {
 	if len(ps) == 0 {
 		return
 	}
@@ -1818,6 +1745,8 @@ func (m *Module) onMappedBatch(ps []core.Profile) {
 	m.mu.Unlock()
 	for _, pt := range dynamic {
 		for i := range ps {
+			// Memoized: a re-announce with an unchanged profile costs one
+			// cache probe per dynamic path instead of O(ports) matching.
 			if m.matchCache.Matches(*pt.query, ps[i]) {
 				pt.tryBind(ps[i], pt.srcType)
 				m.noteRebound(pt)
@@ -1835,47 +1764,12 @@ func (m *Module) onMappedBatch(ps []core.Profile) {
 	}
 }
 
-// onUnmapped handles a disappeared translator across every path role it
-// can play: paths rooted at it are torn down (their source is gone for
-// good — deterministic teardown instead of delivery-retry discovery),
-// static paths aimed at it degrade and fail fast, and dynamic paths bound
-// to it fail over by re-running their query.
-func (m *Module) onUnmapped(id core.TranslatorID) {
-	m.matchCache.Invalidate(id)
-	m.mu.Lock()
-	var srcDead, dynamic, static []*path
-	for _, pt := range m.paths {
-		switch {
-		case pt.src.Translator == id:
-			srcDead = append(srcDead, pt)
-		case pt.query != nil:
-			dynamic = append(dynamic, pt)
-		case pt.static != nil && pt.static.Translator == id:
-			static = append(static, pt)
-		}
-	}
-	m.mu.Unlock()
-	for _, pt := range srcDead {
-		m.trace.Event("path_source_lost", m.node, string(pt.id)+": source "+string(id)+" unmapped")
-		m.removeLocalPath(pt.id) //nolint:errcheck
-	}
-	for _, pt := range static {
-		pt.mu.Lock()
-		was := pt.degraded
-		pt.degraded = true
-		pt.mu.Unlock()
-		if !was {
-			m.trace.Event("path_degraded", m.node, string(pt.id)+": destination "+string(id)+" lost")
-		}
-	}
-	for _, pt := range dynamic {
-		m.failDestination(pt, id)
-	}
-}
-
-// onUnmappedBatch is onUnmapped over one advert's worth of departures
-// with a single path-table scan and one cache sweep.
-func (m *Module) onUnmappedBatch(ids []core.TranslatorID) {
+// onUnmapped handles disappeared translators across every path role
+// they can play: paths rooted at one are torn down (their source is
+// gone for good — deterministic teardown instead of delivery-retry
+// discovery), static paths aimed at one degrade and fail fast, and
+// dynamic paths bound to one fail over by re-running their query.
+func (m *Module) onUnmapped(ids []core.TranslatorID) {
 	if len(ids) == 0 {
 		return
 	}

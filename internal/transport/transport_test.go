@@ -169,6 +169,12 @@ func TestConnectValidation(t *testing.T) {
 	if _, err := n.mod.Connect(core.PortRef{Translator: "h1/x/ghost", Port: "out"}, portRef(dst, "in")); !errors.Is(err, directory.ErrNotFound) {
 		t.Errorf("ghost src err = %v", err)
 	}
+	// Unknown destination translator: a destination the local directory
+	// has not learned yet fails at once, even when it names a remote
+	// node that may announce it later.
+	if _, err := n.mod.Connect(portRef(src, "out"), core.PortRef{Translator: "h2/x/ghost", Port: "in"}); !errors.Is(err, directory.ErrNotFound) {
+		t.Errorf("ghost dst err = %v", err)
+	}
 	// Unknown source port.
 	if _, err := n.mod.Connect(portRef(src, "ghost"), portRef(dst, "in")); !errors.Is(err, core.ErrNoSuchPort) {
 		t.Errorf("ghost port err = %v", err)
@@ -371,6 +377,11 @@ func TestRemoteConnectForwarding(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// h1 resolves the destination when it installs the path.
+	waitFor(t, 3*time.Second, func() bool {
+		_, err := h1.dir.Resolve(tv.Profile().ID)
+		return err == nil
+	})
 
 	id, err := h2.mod.Connect(portRef(camera, "out"), portRef(tv, "in"))
 	if err != nil {
@@ -616,9 +627,10 @@ func TestSlowDestinationDoesNotBlockOthers(t *testing.T) {
 	h2.register(t, stalled)
 	h2.register(t, fast)
 
+	// Scoped to h2: h1's own "src-fast" also contains "fast".
 	deadline := time.Now().Add(3 * time.Second)
-	for len(h1.dir.Lookup(core.Query{NameContains: "stalled"})) == 0 ||
-		len(h1.dir.Lookup(core.Query{NameContains: "fast"})) == 0 {
+	for len(h1.dir.Lookup(core.Query{Node: "h2", NameContains: "stalled"})) == 0 ||
+		len(h1.dir.Lookup(core.Query{Node: "h2", NameContains: "fast"})) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("h1 never saw h2's translators")
 		}

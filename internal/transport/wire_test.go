@@ -237,6 +237,12 @@ func TestRemoteConnectCarriesQoSClass(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// h1 installs the path and resolves the destination in its own
+	// directory, where an unknown destination fails at once.
+	waitFor(t, 3*time.Second, func() bool {
+		_, err := h1.dir.Resolve(slow.Profile().ID)
+		return err == nil
+	})
 	// Issue the class-carrying connect from h2 (source lives on h1).
 	id, err := h2.mod.ConnectClass(portRef(src, "out"), portRef(slow, "in"), qos.Class{
 		Policy: qos.LatestOnly,

@@ -21,6 +21,10 @@ fi
 go build ./...
 go vet ./...
 go test ./...
+# The benchmark lives in its own nested module, which the root build
+# skips: build, vet and test it here so an API change it depends on
+# breaks verification, not the benchmark run.
+(cd umbench && go vet ./... && go test .)
 go test -race ./internal/core/ ./internal/obs/ ./internal/transport/ ./internal/directory/ ./internal/netemu/ ./internal/runtime/ ./internal/qos/ ./internal/load/ ./internal/wal/
 go test -race $short_flag -run 'TestSoakChurnAndFaults' ./internal/integration/
 go test -race $short_flag -run 'TestCrashRestartChaosAllMappers' ./internal/integration/
