@@ -126,7 +126,8 @@ func (p *Profile) RestoreShape() error {
 // Fingerprint returns a stable FNV-1a hash over every profile field a
 // Query can discriminate on (identity, provenance, attributes, shape).
 // A re-announce that changes any of them changes the fingerprint, which
-// is how MatchCache entries self-invalidate.
+// is how the directory's anti-entropy state digests (XOR of entry
+// fingerprints) detect a changed entry under a stable ID.
 func (p Profile) Fingerprint() uint64 {
 	h := fnvOffset
 	h = fnvString(h, string(p.ID))

@@ -176,8 +176,9 @@ func (s Shape) CompatibleWith(other Shape) bool {
 
 // Fingerprint returns a stable FNV-1a hash of the shape's ports (name,
 // kind, direction, type — everything matching and binding look at).
-// Two shapes with equal port lists hash equal; MatchCache uses the hash
-// to detect a re-announced translator whose shape changed.
+// Two shapes with equal port lists hash equal; Profile.Fingerprint folds
+// the hash in, so a re-announced translator whose shape changed gets a
+// new profile fingerprint.
 func (s Shape) Fingerprint() uint64 {
 	h := fnvOffset
 	for _, p := range s.ports {

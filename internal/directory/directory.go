@@ -150,15 +150,19 @@ type advert struct {
 	Removed []core.TranslatorID `json:"removed,omitempty"`
 	// LeaseMillis is the announcement's liveness lease in milliseconds:
 	// the sender promises another advert within this window, and
-	// receivers may declare the node down once it lapses. Zero (an older
-	// peer) falls back to the receiver's own TTL.
+	// receivers may declare the node down once it lapses. "remove" and
+	// "sync_req" adverts carry none (zero): they prove the sender alive
+	// but keep its previous lease, or the receiver's own TTL for a node
+	// not yet known.
 	LeaseMillis int64 `json:"lease_ms,omitempty"`
 	// Version counts the sender's local state changes; a receiver that
-	// observes a gap missed a delta. Zero on adverts from pre-delta peers.
+	// observes a gap missed a delta. Zero on neighbor-bootstrap announces
+	// (mesh.go), which speak for another origin and make no state claim.
 	Version uint64 `json:"version,omitempty"`
 	// Fp is the XOR of the sender's local profile fingerprints — a
 	// content digest of its full local state. A receiver whose own
-	// digest of the sender disagrees requests a sync.
+	// digest of the sender disagrees requests a sync. Zero, like Version,
+	// on neighbor-bootstrap announces.
 	Fp uint64 `json:"fp,omitempty"`
 	// Target names the node a "sync_req" is addressed to.
 	Target string `json:"target,omitempty"`
@@ -178,13 +182,18 @@ type advert struct {
 	Filtered bool `json:"filtered,omitempty"`
 	// Zone names the namespace zone this advert concerns: the sender's
 	// own zone on state-carrying adverts, the requested zone on a
-	// "sync_req". Empty on adverts from pre-federation peers; receivers
-	// default it to the sender's node name.
+	// "sync_req". Every sender here sets it (an unset Options.Zone means
+	// the node name); receivers default an empty one to the sender's
+	// node name, which only pre-federation peers send.
 	Zone string `json:"zone,omitempty"`
 	// Seq numbers the origin's adverts monotonically so mesh relays can
-	// suppress duplicates independent of delivery path.
+	// suppress duplicates independent of delivery path. Zero on
+	// neighbor-bootstrap announces (sendUnnumbered), which are neither
+	// deduplicated nor relayed.
 	Seq uint64 `json:"aseq,omitempty"`
-	// TTL bounds how many further relay hops the advert may take.
+	// TTL bounds how many further relay hops the advert may take. Zero
+	// when the origin runs with Relay off; the first relay grants its own
+	// RelayTTL.
 	TTL int `json:"ttl,omitempty"`
 	// Via accumulates the relaying nodes, origin-side first. Receivers
 	// reverse it into a next-hop route toward the origin.
@@ -388,10 +397,6 @@ type Directory struct {
 	// under it with closed already set, so any concurrent send that
 	// re-checks closed under sendMu can no longer emit after the bye.
 	sendMu sync.Mutex
-	// cache memoizes Query.Matches across Lookup calls; profile
-	// fingerprints keep it correct across re-announces, and departures
-	// invalidate eagerly for memory hygiene.
-	cache *core.MatchCache
 
 	// gen counts population mutations; snap caches the last built
 	// read-path snapshot (see index.go). rebuildMu serializes rebuilds.
@@ -550,7 +555,6 @@ func New(node string, host *netemu.Host, opts Options) *Directory {
 			bootstrapBytes: reg.Counter("umiddle_directory_bootstrap_bytes_total", nl),
 		},
 		trace:       reg.Trace(),
-		cache:       core.NewMatchCache(0),
 		local:       make(map[core.TranslatorID]localEntry),
 		remote:      make(map[core.TranslatorID]remoteEntry),
 		nodes:       make(map[string]*nodeState),
@@ -578,17 +582,6 @@ func New(node string, host *netemu.Host, opts Options) *Directory {
 		tl := obs.Labels{"node": node, "type": typ}
 		d.met.sent[typ] = reg.Counter("umiddle_directory_adverts_sent_total", tl)
 		d.met.sentBytes[typ] = reg.Counter("umiddle_directory_advert_bytes_total", tl)
-	}
-	reg.Describe("umiddle_directory_match_cache_hits_total", "Lookup query matches served from the memoization cache.")
-	reg.Describe("umiddle_directory_match_cache_misses_total", "Lookup query matches that had to be evaluated.")
-	cacheHits := reg.Counter("umiddle_directory_match_cache_hits_total", nl)
-	cacheMisses := reg.Counter("umiddle_directory_match_cache_misses_total", nl)
-	d.cache.Hook = func(hit bool) {
-		if hit {
-			cacheHits.Inc()
-		} else {
-			cacheMisses.Inc()
-		}
 	}
 	if opts.WAL != nil {
 		// Replay happens here, synchronously, before Start can spawn the
@@ -879,7 +872,6 @@ func (d *Directory) RemoveLocal(id core.TranslatorID) (core.Translator, error) {
 	listeners := append([]Listener(nil), d.listeners...)
 	d.mu.Unlock()
 
-	d.cache.Invalidate(id)
 	d.trace.Event("translator_unmapped", d.node, string(id))
 	d.notifyUnmapped(listeners, []core.TranslatorID{id})
 	if !unannounced {
@@ -1015,7 +1007,7 @@ func (d *Directory) Local(id core.TranslatorID) (core.Translator, bool) {
 // result cache; the returned profiles are cloned, so callers own them.
 func (d *Directory) Lookup(q core.Query) []core.Profile {
 	s := d.view()
-	idxs := s.lookup(q, d.cache, &d.met)
+	idxs := s.lookup(q, &d.met)
 	if len(idxs) == 0 {
 		return nil
 	}
@@ -1227,7 +1219,6 @@ func (d *Directory) applyInterestChange() {
 	enabled := d.opts.Interest && !d.closed
 	d.mu.Unlock()
 	for _, id := range dropped {
-		d.cache.Invalidate(id)
 		d.trace.Event("translator_unmapped", d.node, string(id))
 	}
 	d.notifyUnmapped(listeners, dropped)
@@ -1499,7 +1490,7 @@ func (d *Directory) handleAdvertSized(a advert, payloadBytes int) {
 	}
 	// Mesh duplicate suppression: an advert reaching us over several
 	// relay paths is processed (and re-relayed) exactly once. Unnumbered
-	// adverts (pre-mesh peers, tests) are never deduplicated.
+	// adverts (neighbor-bootstrap announces) are never deduplicated.
 	if a.Seq != 0 && d.dupAdvert(a.Node, a.Seq) {
 		d.met.relayDupDrop.Inc()
 		return
@@ -1510,9 +1501,12 @@ func (d *Directory) handleAdvertSized(a advert, payloadBytes int) {
 	}
 	switch a.Type {
 	case "announce", "add":
-		// "announce" (full state — also every periodic advert of a
-		// pre-delta peer) and "add" (incremental delta) integrate with the
-		// same merge semantics; dropping stale entries is sync's job.
+		// "announce" (full state) and "add" (incremental delta) integrate
+		// with the same merge semantics; dropping stale entries is sync's
+		// job. Zero Version and Fp mark an announce that makes no state
+		// claim — a neighbor-bootstrap announce speaking for another
+		// origin, or the first announce of a node with no local state —
+		// so there is no digest to compare.
 		d.touchNode(a.Node, a.LeaseMillis)
 		kept := d.ingestProfiles(a.Profiles, a.Zone)
 		d.countIntegrated(payloadBytes, kept, len(a.Profiles))
@@ -1804,7 +1798,6 @@ func (d *Directory) reconcile(a advert) int {
 	}
 	d.mu.Unlock()
 	for _, id := range dropped {
-		d.cache.Invalidate(id)
 		d.trace.Event("translator_unmapped", d.node, string(id))
 	}
 	d.notifyUnmapped(listeners, dropped)
@@ -1831,8 +1824,10 @@ func (d *Directory) coveredByIfps(ifps map[string]uint64) bool {
 // request per announce interval. Divergence is judged on the content
 // digest alone: a version gap whose fingerprint still matches means the
 // missed deltas net-cancelled (an add revoked within its coalesce
-// window) and there is nothing to fetch. versioned is false for adverts
-// from pre-delta peers, which carry no digest to compare.
+// window) and there is nothing to fetch. versioned is false for
+// announces and adds with zero Version and Fp (neighbor-bootstrap
+// announces, a node with no local state yet), which carry no digest to
+// compare.
 //
 // A filtered node holds only the sender's profiles matching its own
 // interest, so it compares against the sender's digest scoped to that
@@ -2006,10 +2001,6 @@ func (d *Directory) integrate(p core.Profile, zone string) (core.Profile, bool) 
 	case !known:
 		d.trace.Event("translator_mapped", d.node, string(sealed.ID))
 	case changed:
-		// The fingerprint embedded in each cache entry already forces a
-		// re-evaluation against the new profile; dropping the stale
-		// entries just reclaims them immediately.
-		d.cache.Invalidate(sealed.ID)
 		d.trace.Event("translator_updated", d.node, string(sealed.ID))
 	}
 	return sealed, !known || changed
@@ -2029,7 +2020,6 @@ func (d *Directory) dropRemote(id core.TranslatorID) {
 	if !known {
 		return
 	}
-	d.cache.Invalidate(id)
 	d.trace.Event("translator_unmapped", d.node, string(id))
 	d.notifyUnmapped(listeners, []core.TranslatorID{id})
 }
@@ -2123,7 +2113,6 @@ func (d *Directory) dropNode(node string, entryTrace string) int {
 	// longer returns any of the dead node's profiles, so failover queries
 	// triggered by either notification only see live candidates.
 	for _, id := range dropped {
-		d.cache.Invalidate(id)
 		d.trace.Event(entryTrace, d.node, string(id))
 	}
 	d.notifyUnmapped(listeners, dropped)
@@ -2229,7 +2218,6 @@ func (d *Directory) expireStale() {
 	d.mu.Unlock()
 	for _, id := range dropped {
 		d.opts.Logger.Info("directory: expired", "id", id)
-		d.cache.Invalidate(id)
 		d.met.expired.Inc()
 		d.trace.Event("expiry", d.node, string(id))
 	}

@@ -24,9 +24,8 @@ import (
 // result-cache hit.
 //
 // The index is a candidate pre-filter, never a verdict: every candidate
-// is still verified with Query.Matches through the MatchCache, so
-// Lookup results are exactly those of a brute-force scan (property
-// tested in index_test.go).
+// is still verified with Query.Matches, so Lookup results are exactly
+// those of a brute-force scan (property tested in index_test.go).
 
 // maxQueryCacheEntries bounds one snapshot's memoized query results.
 // Snapshots die on the next population change, so the bound only
@@ -266,9 +265,9 @@ func (s *snapshot) candidates(q core.Query) (list []int32, all bool) {
 
 // lookup returns the (ascending, hence result-ordered) indices of
 // profiles matching the query, memoized per snapshot. Every candidate
-// is verified through the MatchCache, so the result set is exactly the
+// is verified with Query.Matches, so the result set is exactly the
 // brute-force scan's.
-func (s *snapshot) lookup(q core.Query, mc *core.MatchCache, met *dirMetrics) []int32 {
+func (s *snapshot) lookup(q core.Query, met *dirMetrics) []int32 {
 	key := q.CacheKey()
 	s.qmu.RLock()
 	cached, ok := s.qcache[key]
@@ -283,13 +282,13 @@ func (s *snapshot) lookup(q core.Query, mc *core.MatchCache, met *dirMetrics) []
 	var out []int32
 	if all {
 		for i := range s.profiles {
-			if mc.Matches(q, s.profiles[i]) {
+			if q.Matches(s.profiles[i]) {
 				out = append(out, int32(i))
 			}
 		}
 	} else {
 		for _, i := range cand {
-			if mc.Matches(q, s.profiles[i]) {
+			if q.Matches(s.profiles[i]) {
 				out = append(out, i)
 			}
 		}

@@ -129,8 +129,8 @@ func (d *Directory) relay(a advert) {
 	}
 	ttl := a.TTL
 	if ttl == 0 {
-		// The origin was not mesh-configured; grant our own budget so
-		// legacy senders still cross segments.
+		// The origin runs with Relay off and stamped no budget; grant our
+		// own so its adverts still cross segments.
 		ttl = d.opts.RelayTTL
 	}
 	if ttl <= 1 {

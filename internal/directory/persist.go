@@ -408,7 +408,6 @@ func (d *Directory) dropUnclaimedWarm() {
 	listeners := append([]Listener(nil), d.listeners...)
 	d.mu.Unlock()
 	for _, id := range dropped {
-		d.cache.Invalidate(id)
 		d.trace.Event("translator_unmapped", d.node, string(id))
 		d.opts.Logger.Info("directory: dropping unclaimed warm entry", "id", id)
 	}

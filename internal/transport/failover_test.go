@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/netemu"
 	"repro/internal/obs"
 )
 
@@ -195,6 +196,51 @@ func TestDynamicPathDropsAfterBudgetThenRecovers(t *testing.T) {
 	if got := tv2.wait(t, 2*time.Second); string(got.Payload) != "healed" {
 		t.Fatalf("payload after heal = %q", got.Payload)
 	}
+}
+
+// TestReannounceUnderSameIDRebinds: a device that returns under the same
+// translator ID with a changed profile is matched against the new
+// profile. h2 announces h2/umiddle/tv as "tv-old" to a path searching
+// for "tv-new", crashes, and a fresh directory on the restarted host
+// registers the same ID as "tv-new": the path binds it.
+func TestReannounceUnderSameIDRebinds(t *testing.T) {
+	net := netemu.NewNetwork(netemu.Ethernet10Mbps())
+	defer net.Close()
+	h1 := newNode(t, net, "h1")
+	h2 := newNode(t, net, "h2")
+
+	src := producer("h1", "camera", "text/plain")
+	h1.register(t, src)
+	id, err := h1.mod.ConnectQuery(portRef(src, "out"), core.Query{DeviceType: "tv-new"})
+	if err != nil {
+		t.Fatalf("ConnectQuery: %v", err)
+	}
+	old := newOrderedSink("h2", "tv", "tv-old")
+	h2.register(t, old)
+	waitCond(t, 3*time.Second, func() bool {
+		return len(h1.dir.Lookup(core.Query{DeviceType: "tv-old"})) == 1
+	})
+	if got := pathState(h1.mod, id); got != PathSearching {
+		t.Fatalf("path state with only tv-old mapped = %q, want %q", got, PathSearching)
+	}
+
+	if _, err := net.CrashNode("h2"); err != nil {
+		t.Fatalf("CrashNode: %v", err)
+	}
+	host, err := net.RestartNode("h2")
+	if err != nil {
+		t.Fatalf("RestartNode: %v", err)
+	}
+	h2 = startNode(t, host, "h2")
+	tv := newOrderedSink("h2", "tv", "tv-new")
+	if tv.Profile().ID != old.Profile().ID {
+		t.Fatalf("IDs differ: %s vs %s", tv.Profile().ID, old.Profile().ID)
+	}
+	h2.register(t, tv)
+
+	waitCond(t, 3*time.Second, func() bool { return pathState(h1.mod, id) == PathBound })
+	src.Emit("out", core.NewMessage("text/plain", []byte("rebound")))
+	waitCond(t, 3*time.Second, func() bool { return len(tv.snapshot()) == 1 })
 }
 
 func TestSourceUnmappedTearsDownPath(t *testing.T) {

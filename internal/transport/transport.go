@@ -361,8 +361,6 @@ type Module struct {
 
 	// dispatch fans inbound deliveries out per destination port.
 	dispatch *dispatcher
-	// matchCache memoizes Query.Matches for dynamic-path rebinding.
-	matchCache *core.MatchCache
 	// quar holds delivered payload buffers until their checksum
 	// verifies (ownership.go).
 	quar       *quarantine
@@ -462,8 +460,6 @@ func New(node string, host *netemu.Host, dir *directory.Directory, opts Options)
 	reg.Describe("umiddle_transport_frame_pool_gets_total", "Pooled frame-buffer requests (hit rate = 1 - misses/gets).")
 	reg.Describe("umiddle_transport_frame_pool_misses_total", "Pooled frame-buffer requests that fell through to a fresh allocation.")
 	reg.Describe("umiddle_transport_write_batch_frames", "Deliver frames coalesced into each connection write.")
-	reg.Describe("umiddle_transport_match_cache_hits_total", "Dynamic-binding query matches served from the memoization cache.")
-	reg.Describe("umiddle_transport_match_cache_misses_total", "Dynamic-binding query matches that had to be evaluated.")
 	reg.Describe("umiddle_transport_frames_relayed_total", "Deliver frames forwarded toward their next hop on behalf of other nodes.")
 	reg.Describe("umiddle_transport_relay_bytes_total", "Payload bytes of forwarded deliver frames.")
 	reg.Describe("umiddle_transport_relay_dup_dropped_total", "Relayed deliver frames dropped as duplicates of an already-forwarded (origin, id).")
@@ -496,16 +492,6 @@ func New(node string, host *netemu.Host, dir *directory.Directory, opts Options)
 		m.sharedPathMet = &met
 	}
 	m.dispatch = newDispatcher(m)
-	m.matchCache = core.NewMatchCache(0)
-	cacheHits := reg.Counter("umiddle_transport_match_cache_hits_total", labels)
-	cacheMisses := reg.Counter("umiddle_transport_match_cache_misses_total", labels)
-	m.matchCache.Hook = func(hit bool) {
-		if hit {
-			cacheHits.Inc()
-		} else {
-			cacheMisses.Inc()
-		}
-	}
 	return m
 }
 
@@ -1745,9 +1731,7 @@ func (m *Module) onMapped(ps []core.Profile) {
 	m.mu.Unlock()
 	for _, pt := range dynamic {
 		for i := range ps {
-			// Memoized: a re-announce with an unchanged profile costs one
-			// cache probe per dynamic path instead of O(ports) matching.
-			if m.matchCache.Matches(*pt.query, ps[i]) {
+			if pt.query.Matches(ps[i]) {
 				pt.tryBind(ps[i], pt.srcType)
 				m.noteRebound(pt)
 			}
@@ -1775,7 +1759,6 @@ func (m *Module) onUnmapped(ids []core.TranslatorID) {
 	}
 	gone := make(map[core.TranslatorID]bool, len(ids))
 	for _, id := range ids {
-		m.matchCache.Invalidate(id)
 		gone[id] = true
 	}
 	m.mu.Lock()
@@ -1795,20 +1778,8 @@ func (m *Module) onUnmapped(ids []core.TranslatorID) {
 		m.trace.Event("path_source_lost", m.node, string(pt.id)+": source "+string(pt.src.Translator)+" unmapped")
 		m.removeLocalPath(pt.id) //nolint:errcheck
 	}
-	for _, pt := range static {
-		pt.mu.Lock()
-		was := pt.degraded
-		pt.degraded = true
-		pt.mu.Unlock()
-		if !was {
-			m.trace.Event("path_degraded", m.node, string(pt.id)+": destination "+string(pt.static.Translator)+" lost")
-		}
-	}
-	for _, pt := range dynamic {
-		for _, id := range ids {
-			m.failDestination(pt, id)
-		}
-	}
+	m.degrade(static, "lost")
+	m.failLost(dynamic, func(id core.TranslatorID) bool { return gone[id] })
 }
 
 // onNodeDown is a safety net under onUnmapped: the directory unmaps each
@@ -1827,25 +1798,37 @@ func (m *Module) onNodeDown(node string) {
 		}
 	}
 	m.mu.Unlock()
+	m.degrade(static, "lost: node "+node+" down")
+	m.failLost(dynamic, func(id core.TranslatorID) bool { return id.Node() == node })
+}
+
+// degrade marks static paths as having lost their destination so they
+// fail fast until it maps again; why completes the trace message.
+func (m *Module) degrade(static []*path, why string) {
 	for _, pt := range static {
 		pt.mu.Lock()
 		was := pt.degraded
 		pt.degraded = true
 		pt.mu.Unlock()
 		if !was {
-			m.trace.Event("path_degraded", m.node, string(pt.id)+": node "+node+" down")
+			m.trace.Event("path_degraded", m.node, string(pt.id)+": destination "+string(pt.static.Translator)+" "+why)
 		}
 	}
+}
+
+// failLost fails over every bound destination of the dynamic paths that
+// lost reports gone, collecting each path's losses under one lock.
+func (m *Module) failLost(dynamic []*path, lost func(core.TranslatorID) bool) {
 	for _, pt := range dynamic {
 		pt.mu.Lock()
-		var lost []core.TranslatorID
+		var ids []core.TranslatorID
 		for id := range pt.bound {
-			if id.Node() == node {
-				lost = append(lost, id)
+			if lost(id) {
+				ids = append(ids, id)
 			}
 		}
 		pt.mu.Unlock()
-		for _, id := range lost {
+		for _, id := range ids {
 			m.failDestination(pt, id)
 		}
 	}

@@ -28,6 +28,13 @@ func newNode(t *testing.T, net *netemu.Network, name string) *node {
 	if net != nil {
 		host = net.MustAddHost(name)
 	}
+	return startNode(t, host, name)
+}
+
+// startNode starts a directory and transport module on an existing host
+// (nil for a network-less node).
+func startNode(t *testing.T, host *netemu.Host, name string) *node {
+	t.Helper()
 	dir := directory.New(name, host, directory.Options{AnnounceInterval: 20 * time.Millisecond})
 	if err := dir.Start(); err != nil {
 		t.Fatalf("directory start: %v", err)
@@ -148,6 +155,12 @@ func TestLocalStaticPath(t *testing.T) {
 		t.Fatalf("source = %v", got.Source)
 	}
 
+	// The path worker counts a delivery after Deliver returns, so the
+	// counters can trail the handler seeing the message.
+	waitCond(t, 2*time.Second, func() bool {
+		s, ok := n.mod.PathStats(id)
+		return ok && s.Delivered > 0 && s.Bytes > 0
+	})
 	stats, ok := n.mod.PathStats(id)
 	if !ok || stats.Delivered != 1 || stats.Bytes != 7 {
 		t.Fatalf("stats = %+v, %v", stats, ok)

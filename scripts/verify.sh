@@ -1,8 +1,8 @@
 #!/bin/sh
-# Repo verification: tier-1 build+test, vet, the race detector over the
-# concurrency-heavy packages (transport redial cycles, directory
-# announce loops, netemu fault injection, obs registry, the mapper
-# supervisor) plus the integration soak and crash/restart chaos cycle,
+# Repo verification: tier-1 build+test, vet, a gofmt check, the race
+# detector over the concurrency-heavy packages (transport redial cycles,
+# directory announce loops, netemu fault injection, obs registry, the
+# mapper supervisor) plus the integration soak and crash/restart chaos cycle,
 # a 5-second fuzz smoke per wire-codec target, a one-iteration
 # benchharness smoke run with -json output, and a bench-regression gate
 # against the committed BENCH_*.json baselines.
@@ -20,6 +20,9 @@ fi
 
 go build ./...
 go vet ./...
+# Formatting gate: gofmt must list no file (the nested umbench module
+# included).
+test -z "$(gofmt -l .)"
 go test ./...
 # The benchmark lives in its own nested module, which the root build
 # skips: build, vet and test it here so an API change it depends on

@@ -100,7 +100,14 @@ func TestServiceMessaging(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("nothing delivered")
 	}
+	// The path worker counts a delivery after the handler returns, so
+	// the counter can trail the handler seeing the message.
+	deadline := time.Now().Add(2 * time.Second)
 	stats, ok := rt.PathStats(id)
+	for ok && stats.Delivered == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		stats, ok = rt.PathStats(id)
+	}
 	if !ok || stats.Delivered != 1 {
 		t.Fatalf("stats = %+v, %v", stats, ok)
 	}
